@@ -45,9 +45,10 @@ main(int argc, char **argv)
     banner("Fig. 3: end-to-end execution time (seconds)",
            "Mean of " + std::to_string(runs) +
                " runs; functional engine at the functional dataset "
-               "scales (DESIGN.md #6). gSuite-SpMM omits SAG "
+               "scales. gSuite-SpMM omits SAG "
                "(paper Section II-C); kernel times are host "
-               "wall-clock, framework overheads per DESIGN.md #4.");
+               "wall-clock, framework overheads per "
+               "frameworks/Overheads.");
 
     const SweepSpec spec =
         SweepSpec{}

@@ -18,8 +18,7 @@ main(int argc, char **argv)
 {
     const BenchArgs args = BenchArgs::parse(argc, argv);
     banner("Table IV: datasets included in the evaluation",
-           "Synthetic generators matched to the paper's statistics "
-           "(DESIGN.md #4).");
+           "Synthetic generators matched to the paper's statistics.");
 
     const SweepSpec spec = SweepSpec{}
                                .base(args.functionalBase())

@@ -262,10 +262,10 @@ class SimEngine : public ExecutionEngine
 
         /**
          * Independent launches simulated concurrently, each on its
-         * own single-threaded GpuSimulator instance. Launch timing is
-         * independent of launch order (every launch starts from a
-         * flushed device), so results are identical to serial
-         * simulation. 1 = inline/serial; 0 = auto.
+         * own GpuSimulator instance. Launch timing is independent of
+         * launch order (every launch starts from a flushed device),
+         * so results are identical to serial simulation.
+         * 1 = inline/serial; 0 = auto.
          */
         int parallelLaunches = 1;
     };

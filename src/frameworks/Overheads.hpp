@@ -20,7 +20,7 @@
  *
  * Constants are calibrated ONLY to reproduce the paper's *shape*
  * (PyG slowest, gSuite fastest, distribution of kernel time similar
- * across frameworks) — never absolute numbers. See DESIGN.md §4.
+ * across frameworks) — never absolute numbers.
  *
  * The built-in constants can be overridden at runtime through the
  * hwdb config-file layer (`overhead.<framework>.<key>` keys, see

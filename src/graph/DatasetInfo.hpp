@@ -6,8 +6,7 @@
  * are not redistributable and not downloadable in this environment, so
  * gsuite ships seeded synthetic generators matched to each dataset's
  * published statistics (node count, edge count, feature length) and a
- * skewed degree distribution. See DESIGN.md §4 for the substitution
- * rationale.
+ * skewed degree distribution.
  */
 
 #ifndef GSUITE_GRAPH_DATASETINFO_HPP

@@ -3,8 +3,8 @@
  * Dataset loading: the paper's "Data Loader" stage (Fig. 1).
  *
  * loadDataset() produces a fully-featured Graph for one of the Table
- * IV datasets, optionally scaled down for timing simulation (DESIGN.md
- * §6). Generation is deterministic in (dataset, scale, seed).
+ * IV datasets, optionally scaled down for timing simulation.
+ * Generation is deterministic in (dataset, scale, seed).
  */
 
 #ifndef GSUITE_GRAPH_DATASETS_HPP
@@ -36,7 +36,7 @@ struct DatasetScale {
 
 /**
  * Default scaling for running a dataset on the timing simulator with
- * a tractable cycle count (DESIGN.md §6): small graphs run full size,
+ * a tractable cycle count: small graphs run full size,
  * Reddit and LiveJournal are divided down.
  */
 DatasetScale defaultSimScale(DatasetId id);

@@ -234,8 +234,8 @@ buildCtaSamplePlan(const GpuConfig &cfg, const KernelLaunch &launch,
 
     // Systematic sample inside each stratum: fixed stride through the
     // ranked order, seeded fractional start. Seeded by kernel
-    // identity + launch shape, so a rerun (or another thread count)
-    // draws the byte-identical sample.
+    // identity + launch shape, so a rerun draws the byte-identical
+    // sample.
     uint64_t seed = mix64(cfg.sampleSeed);
     seed = mix64(seed ^ hashString(launch.name));
     seed = mix64(seed ^ static_cast<uint64_t>(launch.dims.numCtas));

@@ -11,6 +11,8 @@ namespace gsuite {
 
 namespace {
 
+constexpr uint64_t kNoEvent = ~uint64_t{0};
+
 /** Validate before any member (MemorySystem divides by slice count). */
 GpuConfig
 validated(GpuConfig cfg)
@@ -30,41 +32,19 @@ GpuSimulator::GpuSimulator(GpuConfig config)
     smStats.resize(static_cast<size_t>(cfg.numSms));
 }
 
-int
-GpuSimulator::resolveThreads(const SimOptions &opts) const
-{
-    int threads = opts.numThreads > 0 ? opts.numThreads
-                                      : ThreadPool::defaultLanes();
-    return std::clamp(threads, 1, cfg.numSms);
-}
-
 void
-GpuSimulator::stepRange(int begin, int end, RunControl &ctl,
-                        int worker)
+GpuSimulator::stepSms(RunControl &ctl)
 {
-    bool issued = false;
-    uint64_t next_event = ~uint64_t{0};
-    for (int i = begin; i < end; ++i)
-        issued =
-            sms[static_cast<size_t>(i)]->stepCycle(ctl.cycle,
-                                                   next_event) ||
-            issued;
-    ctl.issuedBy[static_cast<size_t>(worker)] = issued ? 1 : 0;
-    ctl.eventBy[static_cast<size_t>(worker)] = next_event;
+    ctl.issued = false;
+    ctl.nextEvent = kNoEvent;
+    for (auto &sm : sms)
+        ctl.issued = sm->stepCycle(ctl.cycle, ctl.nextEvent) ||
+                     ctl.issued;
 }
 
 void
 GpuSimulator::controlPhase(RunControl &ctl)
 {
-    constexpr uint64_t kNoEvent = ~uint64_t{0};
-
-    bool issued = false;
-    uint64_t next_event = kNoEvent;
-    for (size_t w = 0; w < ctl.issuedBy.size(); ++w) {
-        issued = issued || ctl.issuedBy[w] != 0;
-        next_event = std::min(next_event, ctl.eventBy[w]);
-    }
-
     // The watchdog ceiling stops the clock exactly like cycleLimit
     // (so fast-forwarding cannot overshoot it), but is reported as an
     // error instead of a truncation.
@@ -77,13 +57,13 @@ GpuSimulator::controlPhase(RunControl &ctl)
     // count includes the cycle in which the last instruction issued
     // (matching the original serial loop, which broke at the top of
     // the iteration after the final issue).
-    if (issued || next_event <= ctl.cycle + 1 ||
-        next_event == kNoEvent) {
+    if (ctl.issued || ctl.nextEvent <= ctl.cycle + 1 ||
+        ctl.nextEvent == kNoEvent) {
         ctl.cycle += 1;
     } else {
-        // Fast-forward: nothing can issue until next_event, so
+        // Fast-forward: nothing can issue until nextEvent, so
         // repeat each SM's current classification for the gap.
-        const uint64_t target = std::min(next_event, hard_stop);
+        const uint64_t target = std::min(ctl.nextEvent, hard_stop);
         const uint64_t delta = target - ctl.cycle - 1;
         if (delta > 0) {
             for (auto &sm : sms)
@@ -94,9 +74,8 @@ GpuSimulator::controlPhase(RunControl &ctl)
 
     // Trace sampling: snapshot the sampling core's cumulative
     // scheduler counters at the first stepped cycle at or past each
-    // interval boundary. Runs on worker 0 after the resolve barrier
-    // (every stepCycle write ordered before), reads only — every
-    // deterministic counter is invariant to sampling.
+    // interval boundary. Runs after the resolve phase and reads
+    // only — every deterministic counter is invariant to sampling.
     if (ctl.sampleEnabled && ctl.cycle >= ctl.nextSampleCycle) {
         ctl.samples.push_back(
             sms[static_cast<size_t>(ctl.sampleCore)]
@@ -152,7 +131,6 @@ GpuSimulator::run(const KernelLaunch &launch, const SimOptions &opts)
     panicIf(launch.dims.numCtas <= 0 || launch.dims.threadsPerCta <= 0,
             "KernelLaunch with empty grid");
 
-    const int threads = resolveThreads(opts);
     const size_t chunk_instrs = static_cast<size_t>(
         std::max(32, opts.traceChunkInstrs));
 
@@ -194,8 +172,6 @@ GpuSimulator::run(const KernelLaunch &launch, const SimOptions &opts)
     ctl.cycleLimit = opts.cycleLimit;
     ctl.cycleCeiling = opts.cycleCeiling;
     ctl.cancel = opts.cancel;
-    ctl.issuedBy.assign(static_cast<size_t>(threads), 0);
-    ctl.eventBy.assign(static_cast<size_t>(threads), ~uint64_t{0});
     if (opts.smSampleEnabled) {
         ctl.sampleEnabled = true;
         ctl.sampleCore = std::clamp(opts.smSampleCore, 0,
@@ -218,44 +194,17 @@ GpuSimulator::run(const KernelLaunch &launch, const SimOptions &opts)
         }
     }
 
-    const int num_sms = cfg.numSms;
+    // One simulated cycle: every SM steps, then the L2/DRAM slices
+    // resolve in index order (an L1 miss issued this cycle lands in
+    // this cycle's resolve), then control advances the clock.
     const int num_slices = mem.numSlices();
-    auto sm_begin = [&](int w) { return num_sms * w / threads; };
-    auto slice_begin = [&](int w) {
-        return num_slices * w / threads;
-    };
-
-    if (threads == 1) {
-        while (!ctl.done) {
-            stepRange(0, num_sms, ctl, 0);
-            for (int s = 0; s < num_slices; ++s)
-                mem.resolveSlice(s);
-            controlPhase(ctl);
-        }
-    } else {
-        if (!pool || pool->lanes() != threads)
-            pool = std::make_unique<ThreadPool>(threads);
-        SpinBarrier barrier(threads);
-        pool->runOnAll([&](int worker) {
-            for (;;) {
-                barrier.arriveAndWait(); // control published
-                if (ctl.done)
-                    return;
-                stepRange(sm_begin(worker), sm_begin(worker + 1),
-                          ctl, worker);
-                barrier.arriveAndWait(); // all SMs stepped
-                for (int s = slice_begin(worker);
-                     s < slice_begin(worker + 1); ++s)
-                    mem.resolveSlice(s);
-                barrier.arriveAndWait(); // memory resolved
-                if (worker == 0)
-                    controlPhase(ctl);
-            }
-        });
+    while (!ctl.done) {
+        stepSms(ctl);
+        for (int s = 0; s < num_slices; ++s)
+            mem.resolveSlice(s);
+        controlPhase(ctl);
     }
 
-    // Throw only here — every worker has left the barrier loop, so
-    // no thread is waiting on a phase that will never be published.
     if (ctl.cancelled)
         throw RunException(
             RunError::Timeout,
@@ -319,7 +268,7 @@ GpuSimulator::run(const KernelLaunch &launch, const SimOptions &opts)
     if (plan.engaged) {
         // Gather per-SM completion records into the canonical order
         // (each CTA completes on exactly one SM, so sorting by CTA id
-        // is thread-count independent), then extrapolate.
+        // gives one order for any SM assignment), then extrapolate.
         std::vector<CtaSampleRecord> records;
         for (const auto &v : sm_records)
             records.insert(records.end(), v.begin(), v.end());

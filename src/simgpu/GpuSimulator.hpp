@@ -5,15 +5,14 @@
  *
  * This is the stand-in for GPGPU-Sim 4.0 in the paper's methodology.
  *
- * The cycle loop can step SMs concurrently on a persistent worker
- * pool. Each cycle runs three barrier-separated phases:
- *   step     — every worker steps its SMs (classify + issue + L1);
- *   resolve  — every worker services its L2/DRAM address slices;
- *   control  — worker 0 merges events, fast-forwards stalls, assigns
- *              CTAs and decides termination.
- * All cross-thread state is partitioned by SM index or slice index
- * and every reduction runs in index order, so KernelStats are
- * bit-identical for any worker-thread count.
+ * A run executes on the calling thread. Each cycle runs three phases
+ * in a fixed order, which is part of the model:
+ *   step     — every SM, in index order (classify + issue + L1);
+ *   resolve  — every L2/DRAM address slice, in index order;
+ *   control  — merge issue/event results, fast-forward stalls, assign
+ *              CTAs and decide termination.
+ * Host parallelism lives above the simulator: one GpuSimulator per
+ * launch lane or sweep lane, never shared between threads.
  */
 
 #ifndef GSUITE_SIMGPU_GPUSIMULATOR_HPP
@@ -28,7 +27,6 @@
 #include "simgpu/KernelStats.hpp"
 #include "simgpu/MemorySystem.hpp"
 #include "simgpu/Sm.hpp"
-#include "util/ThreadPool.hpp"
 
 namespace gsuite {
 
@@ -46,11 +44,7 @@ struct SimOptions {
     /** Hard safety limit; the run aborts with a warning beyond it. */
     uint64_t cycleLimit = 50'000'000;
 
-    /**
-     * Worker threads stepping SMs (and servicing memory slices).
-     * 0 = auto: min(hardware threads, numSms). Results are identical
-     * for every value; this only affects wall-clock time.
-     */
+    /** No effect; kept for perfbench/ compatibility until its next change. */
     int numThreads = 0;
 
     /**
@@ -90,10 +84,9 @@ struct SimOptions {
      * when enabled, the control phase snapshots the cumulative
      * stall/occupancy counters of SM smSampleCore at the first
      * stepped cycle at or past each smSampleIntervalCycles boundary,
-     * into KernelStats::smSamples. Pure observation — the samples
-     * are read under the phase barrier and no simulated state is
-     * touched, so every deterministic counter is bit-identical with
-     * sampling on or off, and across thread counts.
+     * into KernelStats::smSamples. Pure observation — no simulated
+     * state is touched, so every deterministic counter is
+     * bit-identical with sampling on or off.
      */
     bool smSampleEnabled = false;
     int smSampleCore = 0;
@@ -125,15 +118,15 @@ class GpuSimulator
         bool hitLimit = false;
         bool hitCeiling = false;
         bool cancelled = false;
-        std::vector<uint8_t> issuedBy; ///< per-worker issue flags
-        std::vector<uint64_t> eventBy; ///< per-worker event minima
+        bool issued = false;       ///< some SM issued this cycle
+        uint64_t nextEvent = 0;    ///< earliest SM event after it
         /**
          * CTA-sampled runs assign the plan's CTA ids instead of the
          * dense prefix; nextCta then indexes this order. nullptr in
          * full runs.
          */
         const std::vector<int64_t> *sampleOrder = nullptr;
-        // Trace sampling (worker 0 only, under the phase barrier).
+        // Trace sampling (control phase only).
         bool sampleEnabled = false;
         int sampleCore = 0;
         uint64_t sampleInterval = 0;
@@ -145,10 +138,8 @@ class GpuSimulator
     MemorySystem mem;
     std::vector<std::unique_ptr<Sm>> sms;
     std::vector<KernelStats> smStats;
-    std::unique_ptr<ThreadPool> pool;
 
-    int resolveThreads(const SimOptions &opts) const;
-    void stepRange(int begin, int end, RunControl &ctl, int worker);
+    void stepSms(RunControl &ctl);
     void controlPhase(RunControl &ctl);
 };
 

@@ -9,16 +9,15 @@
  *
  * MemorySystem builds one chain per L2 slice (CacheLevel ->
  * DramChannel) plus one un-chained CacheLevel per SM for the L1 —
- * the L1's "next level" hop crosses the simulator's phase barrier
- * (an L1 miss is routed to its address slice by MemorySystem), so
- * the L1 level keeps next == nullptr and only contributes its cache
- * and MSHR table to phase 1.
+ * the L1's "next level" hop crosses from the simulator's step phase
+ * to its resolve phase (an L1 miss is routed to its address slice
+ * by MemorySystem), so the L1 level keeps next == nullptr and only
+ * contributes its cache and MSHR table to the step phase.
  *
- * Determinism: every object here is owned by exactly one worker at
- * a time (an L1 level by its SM's worker, a slice chain by the
- * single worker resolving that slice this cycle) and all service
+ * Determinism: an L1 level is touched only while its SM steps, a
+ * slice chain only while that slice resolves, and all service
  * decisions are functions of request content and arrival order,
- * never of wall-clock or thread scheduling.
+ * never of wall-clock.
  */
 
 #ifndef GSUITE_SIMGPU_MEMLEVEL_HPP

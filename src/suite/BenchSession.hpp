@@ -10,9 +10,10 @@
  *
  * Threading-budget composition: with L concurrent sweep lanes and a
  * total worker budget B (default: max(L, host lanes)), every point
- * whose simThreads is "auto" (0) is resolved to max(1, B / L), and
- * auto simParallelLaunches collapse to 1, so sweep-level and
- * launch-level parallelism never multiply past the budget.
+ * whose simThreads (profiler-replay and mem-plan workers) is "auto"
+ * (0) is resolved to max(1, B / L), and auto simParallelLaunches
+ * collapse to 1, so sweep-level and per-point parallelism never
+ * multiply past the budget.
  */
 
 #ifndef GSUITE_SUITE_BENCHSESSION_HPP
@@ -49,8 +50,9 @@ class BenchSession
         int sweepThreads = 1;
 
         /**
-         * Total worker budget shared by sweep lanes and per-launch
-         * sim threads. 0 = auto: max(lanes, host lanes).
+         * Total worker budget shared by sweep lanes and per-point
+         * simThreads (profiler-replay and mem-plan workers).
+         * 0 = auto: max(lanes, host lanes).
          */
         int threadBudget = 0;
 

@@ -102,8 +102,10 @@ struct UserParams {
     bool memPlan = false;
 
     /**
-     * Worker threads per simulated launch (0 = auto). Statistics are
-     * bit-identical for every value.
+     * Worker threads for cache-profiler replay (--profile-caches) and
+     * planned-placement level execution (--mem-plan); 0 = auto. The
+     * timing simulator itself always runs one launch per thread.
+     * Statistics are bit-identical for every value.
      */
     int simThreads = 0;
     /**

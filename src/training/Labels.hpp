@@ -2,10 +2,10 @@
  * @file
  * Synthetic node labels for the training extension.
  *
- * Real planetoid labels are unavailable (DESIGN.md §4), so labels are
- * derived from graph structure: each node takes the class of its
- * highest-degree in-neighbour (hub), falling back to a hash of its
- * own id. This gives classes that correlate with the topology, so a
+ * Real planetoid labels are unavailable (graph/DatasetInfo.hpp), so
+ * labels are derived from graph structure: each node takes the class
+ * of its highest-degree in-neighbour (hub), falling back to a hash of
+ * its own id. This gives classes that correlate with the topology, so a
  * GNN can actually reduce the loss — which is what the training
  * benchmarks need to exercise realistic convergence behaviour.
  */

@@ -81,49 +81,75 @@ SoftmaxXentKernel::makeLaunch(DeviceAllocator &alloc) const
     launch.dims.numCtas = ceilDiv(n, kCtaThreads);
     launch.dims.threadsPerCta = kCtaThreads;
 
-    launch.genTrace = [=](int64_t cta, int warp, WarpTrace &out) {
-        TraceBuilder b(out);
+    launch.streamTrace = [=](int64_t cta, int warp) -> WarpTraceStream {
         const int64_t t0 =
             (cta * kCtaWarps + warp) * static_cast<int64_t>(32);
         const int lanes =
             static_cast<int>(std::clamp<int64_t>(n - t0, 0, 32));
         if (lanes == 0) {
-            b.exit();
-            return;
+            return [](TraceBuilder &b) {
+                b.exit();
+                return true;
+            };
         }
         const uint32_t mask = maskOfLanes(lanes);
-        std::array<uint64_t, 32> a{};
 
-        // One thread per node (row). Label load is coalesced.
-        b.aluChain(Op::INT, 2, mask);
-        for (int l = 0; l < lanes; ++l)
-            a[static_cast<size_t>(l)] =
-                lbl_base + static_cast<uint64_t>(t0 + l) * 8;
-        b.load({a.data(), static_cast<size_t>(lanes)});
+        // Resumable position: pass 1 walks j over the classes, then
+        // pass 2 walks them again; acc carries across chunks.
+        struct State {
+            bool prologueDone = false;
+            bool pass2 = false;
+            int64_t j = 0;
+            Reg acc = kNoReg;
+        };
+        State st;
 
-        // Pass 1: max + exp-sum over classes (strided row loads).
-        Reg acc = b.alu(Op::FP32, kNoReg, kNoReg, mask);
-        for (int64_t j = 0; j < c; ++j) {
-            for (int l = 0; l < lanes; ++l)
-                a[static_cast<size_t>(l)] =
-                    in_base +
-                    static_cast<uint64_t>((t0 + l) * c + j) * 4;
-            const Reg rv =
+        return [=](TraceBuilder &b) mutable {
+            std::array<uint64_t, 32> a{};
+            if (!st.prologueDone) {
+                // One thread per node (row). Label load is coalesced.
+                b.aluChain(Op::INT, 2, mask);
+                for (int l = 0; l < lanes; ++l)
+                    a[static_cast<size_t>(l)] =
+                        lbl_base + static_cast<uint64_t>(t0 + l) * 8;
                 b.load({a.data(), static_cast<size_t>(lanes)});
-            const Reg re = b.alu(Op::SFU, rv, kNoReg, mask);
-            acc = b.alu(Op::FP32, acc, re, mask);
-        }
-        b.control(mask);
-        // Pass 2: normalized gradient store per class.
-        for (int64_t j = 0; j < c; ++j) {
-            const Reg g = b.alu(Op::FP32, acc, kNoReg, mask);
-            for (int l = 0; l < lanes; ++l)
-                a[static_cast<size_t>(l)] =
-                    out_base +
-                    static_cast<uint64_t>((t0 + l) * c + j) * 4;
-            b.store({a.data(), static_cast<size_t>(lanes)}, g);
-        }
-        b.exit();
+                st.acc = b.alu(Op::FP32, kNoReg, kNoReg, mask);
+                st.prologueDone = true;
+            }
+            // Pass 1: max + exp-sum over classes (strided row loads).
+            while (!st.pass2 && st.j < c && !b.full()) {
+                for (int l = 0; l < lanes; ++l)
+                    a[static_cast<size_t>(l)] =
+                        in_base +
+                        static_cast<uint64_t>((t0 + l) * c + st.j) * 4;
+                ++st.j;
+                const Reg rv =
+                    b.load({a.data(), static_cast<size_t>(lanes)});
+                const Reg re = b.alu(Op::SFU, rv, kNoReg, mask);
+                st.acc = b.alu(Op::FP32, st.acc, re, mask);
+            }
+            if (!st.pass2) {
+                if (st.j < c)
+                    return false;
+                b.control(mask);
+                st.pass2 = true;
+                st.j = 0;
+            }
+            // Pass 2: normalized gradient store per class.
+            while (st.j < c && !b.full()) {
+                const Reg g = b.alu(Op::FP32, st.acc, kNoReg, mask);
+                for (int l = 0; l < lanes; ++l)
+                    a[static_cast<size_t>(l)] =
+                        out_base +
+                        static_cast<uint64_t>((t0 + l) * c + st.j) * 4;
+                ++st.j;
+                b.store({a.data(), static_cast<size_t>(lanes)}, g);
+            }
+            if (st.j < c)
+                return false;
+            b.exit();
+            return true;
+        };
     };
     return launch;
 }

@@ -1,19 +1,17 @@
 /**
  * @file
- * A persistent worker pool plus a light-weight spin barrier, built for
- * the cycle-level simulator's per-cycle phase synchronization.
+ * A persistent worker pool for coarse-grained host parallelism:
+ * concurrent sim-engine launch lanes, BenchSession sweep lanes,
+ * cache-profiler replay and planned-placement level execution.
  *
- * The pool keeps its threads alive across invocations so a simulation
- * run pays one condition-variable wakeup per kernel, not per cycle;
- * the per-cycle barriers inside a run use SpinBarrier, which spins
- * briefly and then yields (so oversubscribed hosts still make
- * progress).
+ * The pool keeps its threads alive across invocations, so repeated
+ * parallelFor calls pay one condition-variable wakeup each rather
+ * than a thread start.
  */
 
 #ifndef GSUITE_UTIL_THREADPOOL_HPP
 #define GSUITE_UTIL_THREADPOOL_HPP
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -22,26 +20,6 @@
 #include <vector>
 
 namespace gsuite {
-
-/**
- * Sense-reversing barrier for tightly-coupled phase loops. All
- * @p parties must call arriveAndWait() to release a phase; the barrier
- * is immediately reusable for the next phase.
- */
-class SpinBarrier
-{
-  public:
-    explicit SpinBarrier(int parties);
-
-    /** Block (spin, then yield) until all parties have arrived. */
-    void arriveAndWait();
-
-  private:
-    const int parties;
-    const int spinLimit; ///< spins before yielding (1 when oversubscribed)
-    std::atomic<int> arrived{0};
-    std::atomic<uint64_t> phase{0};
-};
 
 /**
  * Fixed-size pool of persistent workers. "Lanes" counts the calling

@@ -290,7 +290,6 @@ TEST_P(FuzzSeeds, CycleSkipNeverOvershootsWarpWakeup)
     auto run = [&](const GpuConfig &c, bool skip) {
         SimOptions opts;
         opts.maxCtas = 32;
-        opts.numThreads = 1;
         opts.perSmFastForward = skip;
         GpuSimulator sim(c);
         return sim.run(launch, opts);
@@ -368,9 +367,9 @@ TEST_P(FuzzSeeds, CycleSkipNeverOvershootsWarpWakeup)
  * Memory-hierarchy config fuzz: random-walk the MSHR / DRAM-bank /
  * queue knobs across their legal ranges and require (a) the SoA fast
  * issue path to stay bit-identical to the reference path, (b) reruns
- * and worker-thread counts to be bit-identical — back-pressure from
- * tiny MSHR tables and single-entry DRAM queues exercises the parked
- * multi-cycle retry protocol far harder than any preset does.
+ * to be bit-identical — back-pressure from tiny MSHR tables and
+ * single-entry DRAM queues exercises the parked multi-cycle retry
+ * protocol far harder than any preset does.
  */
 TEST_P(FuzzSeeds, RandomMemHierarchyConfigsStayDeterministic)
 {
@@ -407,15 +406,14 @@ TEST_P(FuzzSeeds, RandomMemHierarchyConfigsStayDeterministic)
     ref_cfg.referenceIssue = true;
 
     const KernelLaunch launch = randomLatencyLaunch(seed ^ 0xd3a);
-    auto run = [&](const GpuConfig &c, int threads) {
+    auto run = [&](const GpuConfig &c) {
         SimOptions opts;
         opts.maxCtas = 24;
-        opts.numThreads = threads;
         GpuSimulator sim(c);
         return sim.run(launch, opts);
     };
 
-    const KernelStats base = run(cfg, 1);
+    const KernelStats base = run(cfg);
     auto expect_identical = [&](const KernelStats &x,
                                 const KernelStats &y) {
         EXPECT_EQ(x.cycles, y.cycles);
@@ -445,15 +443,11 @@ TEST_P(FuzzSeeds, RandomMemHierarchyConfigsStayDeterministic)
     };
     {
         SCOPED_TRACE("rerun");
-        expect_identical(base, run(cfg, 1));
-    }
-    {
-        SCOPED_TRACE("4 worker threads");
-        expect_identical(base, run(cfg, 4));
+        expect_identical(base, run(cfg));
     }
     {
         SCOPED_TRACE("reference issue path");
-        expect_identical(base, run(ref_cfg, 1));
+        expect_identical(base, run(ref_cfg));
     }
 }
 
@@ -762,8 +756,9 @@ TEST_P(FuzzSeeds, RandomOpGraphPlansAreSafeAndNeverWorseThanNaive)
         const MemPlan sliced = MemPlan::build(g, opts);
         sliced.verify(g);
         checkNoOverlappingLiveIntervals(sliced);
-        if (sliced.fitsBudget())
+        if (sliced.fitsBudget()) {
             EXPECT_LE(sliced.peakBytes(), budget);
+        }
         EXPECT_GE(sliced.numWaves(), 1u);
         EXPECT_LE(sliced.numWaves(), parts);
     } else {
@@ -777,8 +772,9 @@ TEST_P(FuzzSeeds, RandomOpGraphPlansAreSafeAndNeverWorseThanNaive)
         ASSERT_TRUE(sp.plan.fullSpanCoverage());
         sp.plan.verify(sp.graph);
         checkNoOverlappingLiveIntervals(sp.plan);
-        if (sp.plan.fitsBudget())
+        if (sp.plan.fitsBudget()) {
             EXPECT_LE(sp.plan.peakBytes(), budget);
+        }
         FunctionalEngine rerun;
         rerun.run(sp.graph);
         for (size_t m = 0; m < snap.size(); ++m) {

@@ -72,7 +72,6 @@ tinySimOpts()
     SimEngine::Options opts;
     opts.gpu = hwPresetByName("test-tiny").config;
     opts.sim.maxCtas = 64;
-    opts.sim.numThreads = 1;
     return opts;
 }
 
@@ -300,8 +299,9 @@ TEST(OpGraphCosts, SerialCriticalPathAndMakespanAreConsistent)
         const uint64_t ms = ops.makespan(costs, lanes);
         EXPECT_GE(ms, cp) << lanes;
         EXPECT_LE(ms, serial) << lanes;
-        if (lanes == 1)
+        if (lanes == 1) {
             EXPECT_EQ(ms, serial);
+        }
         // Deterministic: same inputs, same answer.
         EXPECT_EQ(ms, ops.makespan(costs, lanes)) << lanes;
     }

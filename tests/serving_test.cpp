@@ -164,8 +164,9 @@ TEST(RequestStream, SeededStreamsAreBitIdentical)
         EXPECT_LT(a[i].arrivalCycle, 1'000'000u);
         EXPECT_EQ(a[i].deadlineCycle, a[i].arrivalCycle + 5'000);
         EXPECT_EQ(a[i].priority, 1);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(a[i].arrivalCycle, a[i - 1].arrivalCycle);
+        }
     }
 }
 
@@ -261,7 +262,9 @@ TEST(RequestStream, GenerationIsThreadInvariant)
         plan.events(2'000'000);
 
     ThreadPool pool(4);
-    std::vector<bool> match(8, false);
+    // One byte per task: std::vector<bool> packs neighbours into one
+    // word, so concurrent writes to it race.
+    std::vector<uint8_t> match(8, 0);
     pool.parallelFor(match.size(), [&](size_t i, int) {
         match[i] =
             generateArrivals(spec, profiles, 2'000'000, 11) ==

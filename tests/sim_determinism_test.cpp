@@ -1,10 +1,11 @@
 /**
  * @file
- * Determinism regression tests for the parallel simulation engine:
- * KernelStats must be bit-identical regardless of worker-thread
- * count, trace-chunk size, and eager-vs-streaming trace
- * representation. These invariants are what lets the simulator use
- * however many cores the host offers without changing any figure.
+ * Determinism regression tests for the simulation engine: KernelStats
+ * must be bit-identical across reruns and simulator reuse, trace-chunk
+ * size, eager-vs-streaming trace representation, concurrent launch
+ * lanes, and the fast vs reference issue paths. These invariants are
+ * what lets the engine use however many cores the host offers without
+ * changing any figure.
  */
 
 #include <gtest/gtest.h>
@@ -156,7 +157,7 @@ mixedSyntheticLaunch()
 GpuConfig
 detConfig()
 {
-    // 8 SMs / 4 slices so up to 8 workers get distinct partitions.
+    // The whole grid runs on the 8 simulated SMs (no SM subsetting).
     GpuConfig cfg = GpuConfig::v100Sim();
     cfg.smSampleFactor = 1;
     return cfg;
@@ -164,61 +165,36 @@ detConfig()
 
 } // namespace
 
-TEST(SimDeterminism, SpmmIdenticalAcrossThreadCounts)
-{
-    SpmmWorkload w;
-    DeviceAllocator alloc;
-    const KernelLaunch launch = w.kernel.makeLaunch(alloc);
-
-    SimOptions opts;
-    opts.maxCtas = 96;
-    std::vector<KernelStats> results;
-    for (const int threads : {1, 2, 4, 8}) {
-        GpuSimulator sim(detConfig());
-        opts.numThreads = threads;
-        results.push_back(sim.run(launch, opts));
-    }
-    for (size_t i = 1; i < results.size(); ++i)
-        expectStatsEqual(results[0], results[i]);
-    // Sanity: the workload is non-trivial.
-    EXPECT_GT(results[0].warpInstrs, 1000u);
-    EXPECT_GT(results[0].l2Misses, 0u);
-}
-
-TEST(SimDeterminism, MixedKernelIdenticalAcrossThreadCounts)
-{
-    const KernelLaunch launch = mixedSyntheticLaunch();
-    SimOptions opts;
-    std::vector<KernelStats> results;
-    for (const int threads : {1, 3, 8}) {
-        GpuSimulator sim(detConfig());
-        opts.numThreads = threads;
-        results.push_back(sim.run(launch, opts));
-    }
-    for (size_t i = 1; i < results.size(); ++i)
-        expectStatsEqual(results[0], results[i]);
-    EXPECT_GT(results[0].stallCycles[static_cast<size_t>(
-                  StallReason::Synchronization)],
-              0u);
-}
-
 TEST(SimDeterminism, ReusedSimulatorMatchesFreshSimulator)
 {
     // SimEngine reuses one simulator across launches; state from a
-    // previous launch must never leak into the next.
+    // previous launch must never leak into the next. The mixed launch
+    // (barriers, atomics, shared memory) runs on the reused simulator
+    // after the SpMM one.
     SpmmWorkload w;
     DeviceAllocator alloc;
-    const KernelLaunch launch = w.kernel.makeLaunch(alloc);
+    const KernelLaunch spmm = w.kernel.makeLaunch(alloc);
+    const KernelLaunch mixed = mixedSyntheticLaunch();
     SimOptions opts;
     opts.maxCtas = 64;
 
     GpuSimulator reused(detConfig());
-    const KernelStats first = reused.run(launch, opts);
-    const KernelStats second = reused.run(launch, opts);
-    GpuSimulator fresh(detConfig());
-    const KernelStats clean = fresh.run(launch, opts);
-    expectStatsEqual(first, second);
-    expectStatsEqual(first, clean);
+    std::vector<KernelStats> firsts;
+    for (const KernelLaunch *launch : {&spmm, &mixed}) {
+        const KernelStats first = reused.run(*launch, opts);
+        const KernelStats second = reused.run(*launch, opts);
+        GpuSimulator fresh(detConfig());
+        const KernelStats clean = fresh.run(*launch, opts);
+        expectStatsEqual(first, second);
+        expectStatsEqual(first, clean);
+        firsts.push_back(first);
+    }
+    // Sanity: the workloads are non-trivial.
+    EXPECT_GT(firsts[0].warpInstrs, 1000u);
+    EXPECT_GT(firsts[0].l2Misses, 0u);
+    EXPECT_GT(firsts[1].stallCycles[static_cast<size_t>(
+                  StallReason::Synchronization)],
+              0u);
 }
 
 TEST(SimDeterminism, ChunkSizeInvariant)
@@ -284,7 +260,7 @@ TEST(SimDeterminism, GraphScheduledRunMatchesSerialOnAllFourModels)
     // run(OpGraph&) — the dependency-scheduled path every pipeline
     // now takes — must keep every launch's stats bit-identical to
     // the degenerate per-kernel run(Kernel&) path, for every model
-    // and for serial vs threaded/deferred simulation.
+    // and for serial vs deferred concurrent simulation.
     Rng rng(99);
     Graph g = generateErdosRenyi(90, 360, rng);
     fillFeatures(g, 12, rng);
@@ -302,12 +278,10 @@ TEST(SimDeterminism, GraphScheduledRunMatchesSerialOnAllFourModels)
         cfg.hidden = 12;
         cfg.outDim = 6;
 
-        auto run_one = [&](bool graph_path, int sim_threads,
-                           int parallel) {
+        auto run_one = [&](bool graph_path, int parallel) {
             SimEngine::Options eopts;
             eopts.gpu = detConfig();
             eopts.sim.maxCtas = 48;
-            eopts.sim.numThreads = sim_threads;
             eopts.parallelLaunches = parallel;
             SimEngine engine(eopts);
             GnnPipeline p(g, cfg);
@@ -326,10 +300,9 @@ TEST(SimDeterminism, GraphScheduledRunMatchesSerialOnAllFourModels)
             return stats;
         };
 
-        const auto serial = run_one(false, 1, 1);
-        for (const auto &[threads, parallel] :
-             std::vector<std::pair<int, int>>{{1, 1}, {4, 1}, {1, 3}}) {
-            const auto graphed = run_one(true, threads, parallel);
+        const auto serial = run_one(false, 1);
+        for (const int parallel : {1, 3}) {
+            const auto graphed = run_one(true, parallel);
             ASSERT_EQ(serial.size(), graphed.size())
                 << gnnModelName(model);
             for (size_t i = 0; i < serial.size(); ++i)

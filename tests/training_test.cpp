@@ -143,6 +143,59 @@ TEST(SoftmaxXentTest, TraceIsWellFormed)
     EXPECT_TRUE(has_sfu); // exp() on the special-function unit
 }
 
+TEST(SoftmaxXentTest, ChunkedStreamMatchesFullTrace)
+{
+    // 40 classes: both per-class passes outgrow a 32-instruction
+    // chunk, so the stream suspends and resumes inside each pass.
+    DenseMatrix logits(100, 40);
+    std::vector<int64_t> labels(100, 0);
+    DenseMatrix dlogits;
+    SoftmaxXentKernel k("loss", logits, labels, dlogits);
+    k.execute();
+    DeviceAllocator alloc;
+    const KernelLaunch l = k.makeLaunch(alloc);
+    for (const int warp : {0, 3}) {
+        WarpTrace full;
+        l.buildFullTrace(0, warp, full);
+
+        WarpTrace chunked;
+        WarpTraceStream stream = l.makeStream(0, warp);
+        uint8_t cursor = 0;
+        int chunks = 0;
+        for (bool done = false; !done; ++chunks) {
+            WarpTrace chunk;
+            TraceBuilder tb(chunk, 32, cursor);
+            done = stream(tb);
+            ASSERT_FALSE(chunk.instrs.empty());
+            const auto base =
+                static_cast<uint32_t>(chunked.addrs.size());
+            for (SimInstr in : chunk.instrs) {
+                in.addrOffset += base;
+                chunked.instrs.push_back(in);
+            }
+            chunked.addrs.insert(chunked.addrs.end(),
+                                 chunk.addrs.begin(),
+                                 chunk.addrs.end());
+        }
+        EXPECT_GT(chunks, 3);
+        ASSERT_EQ(chunked.instrs.size(), full.instrs.size());
+        for (size_t i = 0; i < full.instrs.size(); ++i) {
+            const SimInstr &a = full.instrs[i];
+            const SimInstr &b = chunked.instrs[i];
+            EXPECT_EQ(a.op, b.op) << i;
+            EXPECT_EQ(a.dst, b.dst) << i;
+            EXPECT_EQ(a.srcA, b.srcA) << i;
+            EXPECT_EQ(a.srcB, b.srcB) << i;
+            EXPECT_EQ(a.activeMask, b.activeMask) << i;
+            ASSERT_EQ(a.addrCount, b.addrCount) << i;
+            for (uint16_t j = 0; j < a.addrCount; ++j)
+                EXPECT_EQ(full.addrs[a.addrOffset + j],
+                          chunked.addrs[b.addrOffset + j])
+                    << i;
+        }
+    }
+}
+
 TEST(GcnTrainerTest, WeightGradientMatchesNumerical)
 {
     const Graph g = trainGraph(11, 24, 60, 5);
