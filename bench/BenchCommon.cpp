@@ -83,11 +83,11 @@ pct(double fraction)
 BenchArgs
 BenchArgs::parse(int argc, char **argv)
 {
-    OptionSet opts;
+    BenchArgs args;
+    OptionSet &opts = args.opts;
     opts.parseArgs(argc, argv);
     if (opts.getBool("list-gpus", false))
         listHwPresetsAndExit();
-    BenchArgs args;
     args.csvPath = opts.getString("csv", "");
     args.quick = opts.getBool("quick", false);
     args.layers = static_cast<int>(opts.getInt("layers", 2));
@@ -121,11 +121,20 @@ BenchArgs::simBase() const
 UserParams
 BenchArgs::functionalBase() const
 {
+    // The functional engine models no GPU: the one --gpu machine
+    // only supplies its framework overheads (overhead.* keys).
+    if (gpus.size() > 1)
+        fatal("functional benches take one --gpu machine, got %zu",
+              gpus.size());
+    if (!tracePath.empty())
+        fatal("--trace needs the sim engine; this bench runs the "
+              "functional engine");
     UserParams p;
     p.framework = Framework::Gsuite;
     p.engine = EngineKind::Functional;
     p.runs = quick ? 1 : 3;
     p.layers = layers;
+    p.gpu = gpus.front();
     return p;
 }
 

@@ -74,6 +74,12 @@ std::string pct(double fraction);
  * build the standard sweep ingredients.
  */
 struct BenchArgs {
+    /**
+     * Every parsed flag. Benches read their own flags from it, then
+     * call opts.rejectUnread() so unknown flags are fatal.
+     */
+    OptionSet opts;
+
     std::string csvPath;
     bool quick = false; ///< smaller CTA budget for smoke runs
     int layers = 2;
@@ -100,7 +106,11 @@ struct BenchArgs {
     /** Base params for simulator sweeps (gSuite, 1 run, sim scale). */
     UserParams simBase() const;
 
-    /** Base params for functional sweeps (mean of 3 runs; 1 quick). */
+    /**
+     * Base params for functional sweeps (mean of 3 runs; 1 quick).
+     * Carries the single --gpu machine for its framework overheads;
+     * fatal() on a multi-machine --gpu list or --trace.
+     */
     UserParams functionalBase() const;
 
     /** Session options honouring --sweep-threads. */

@@ -19,6 +19,7 @@ int
 main(int argc, char **argv)
 {
     const BenchArgs args = BenchArgs::parse(argc, argv);
+    args.opts.rejectUnread();
     banner("Ablation: indexSelect divergence vs feature width",
            "Sectors per global load (1 = perfectly coalesced, 32 = "
            "fully divergent), with the resulting L1 hit rate and "

@@ -17,6 +17,7 @@ int
 main(int argc, char **argv)
 {
     const BenchArgs args = BenchArgs::parse(argc, argv);
+    args.opts.rejectUnread();
     banner("Ablation: L1 load bypass, gSuite-MP kernels",
            "Cycles with the sectored L1 vs with global loads routed "
            "straight to L2; <1.0 speedup means the L1 was helping.");

@@ -20,6 +20,7 @@ int
 main(int argc, char **argv)
 {
     const BenchArgs args = BenchArgs::parse(argc, argv);
+    args.opts.rejectUnread();
     banner("Ablation: MP vs SpMM kernel time, GCN, feature sweep",
            "Functional kernel wall-clock (no framework overheads), "
            "2-layer GCN, hidden width = feature cap.");

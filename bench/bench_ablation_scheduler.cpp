@@ -17,6 +17,7 @@ int
 main(int argc, char **argv)
 {
     const BenchArgs args = BenchArgs::parse(argc, argv);
+    args.opts.rejectUnread();
     banner("Ablation: GTO vs LRR warp scheduling, GCN gSuite-MP",
            "Cycles per kernel class and the LRR/GTO ratio.");
 

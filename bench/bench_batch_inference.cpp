@@ -59,11 +59,10 @@ clockGhzOf(const SweepResult &r)
 int
 main(int argc, char **argv)
 {
-    OptionSet cli;
-    cli.parseArgs(argc, argv);
+    const BenchArgs args = BenchArgs::parse(argc, argv);
+    const OptionSet &cli = args.opts;
     const std::string json_path =
         cli.getString("json", "BENCH_batch_inference.json");
-    BenchArgs args = BenchArgs::parse(argc, argv);
     const int lanes = static_cast<int>(cli.getInt("lanes", 4));
 
     std::vector<int> batches;
@@ -87,6 +86,7 @@ main(int argc, char **argv)
     UserParams base = args.simBase();
     base.dataset = cli.getString("dataset", "cora");
     base.model = gnnModelFromName(cli.getString("model", "gcn"));
+    cli.rejectUnread();
     base.comp = CompModel::Mp;
     // The lanes ARE the measured concurrency: launches simulate
     // single-threaded on their own lane, deterministically.

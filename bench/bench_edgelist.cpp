@@ -62,6 +62,8 @@ main(int argc, char **argv)
     base.featureCap = flen; // file datasets take flen from the cap
     base.simThreads =
         static_cast<int>(opts.getInt("sim-threads", 0));
+    const std::string csv_path = opts.getString("csv", "");
+    opts.rejectUnread();
 
     const SweepSpec spec =
         SweepSpec{}.base(base).datasetNames({"file:" + path});
@@ -89,6 +91,6 @@ main(int argc, char **argv)
     }
     table.print();
 
-    store.toCsv(opts.getString("csv", ""));
+    store.toCsv(csv_path);
     return 0;
 }

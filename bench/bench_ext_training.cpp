@@ -37,6 +37,7 @@ int
 main(int argc, char **argv)
 {
     const BenchArgs args = BenchArgs::parse(argc, argv);
+    args.opts.rejectUnread();
     banner("Extension: GNN-training epoch characterization (GCN)",
            "Forward / loss / backward / update split per epoch; "
            "sim dataset scales.");

@@ -41,6 +41,7 @@ int
 main(int argc, char **argv)
 {
     const BenchArgs args = BenchArgs::parse(argc, argv);
+    args.opts.rejectUnread();
     const int runs = args.quick ? 1 : 3;
     banner("Fig. 3: end-to-end execution time (seconds)",
            "Mean of " + std::to_string(runs) +

@@ -74,6 +74,7 @@ int
 main(int argc, char **argv)
 {
     const BenchArgs args = BenchArgs::parse(argc, argv);
+    args.opts.rejectUnread();
     banner("Fig. 4: execution time distribution of the kernels (%)",
            "Shares of per-kernel wall-clock time; SpGEMM counts "
            "toward the SpMM column, elementwise/aux toward other.");

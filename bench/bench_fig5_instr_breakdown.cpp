@@ -47,6 +47,7 @@ int
 main(int argc, char **argv)
 {
     const BenchArgs args = BenchArgs::parse(argc, argv);
+    args.opts.rejectUnread();
     banner("Fig. 5: instruction breakdown of the kernels (%)",
            "Timing simulator, sim dataset scales; FP32 / INT / "
            "Load-Store / Control / other per core kernel.");

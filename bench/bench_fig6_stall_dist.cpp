@@ -47,6 +47,7 @@ int
 main(int argc, char **argv)
 {
     const BenchArgs args = BenchArgs::parse(argc, argv);
+    args.opts.rejectUnread();
     banner("Fig. 6: issue stall distribution of the kernels (%)",
            "Timing simulator, sim dataset scales (printed by "
            "bench_table4_datasets).");

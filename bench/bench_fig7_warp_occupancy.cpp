@@ -22,6 +22,7 @@ int
 main(int argc, char **argv)
 {
     const BenchArgs args = BenchArgs::parse(argc, argv);
+    args.opts.rejectUnread();
     banner("Fig. 7: warp occupancy distribution, gSuite-MP kernels "
            "(%)",
            "Per scheduler-cycle: Stall (ready warp blocked by the "

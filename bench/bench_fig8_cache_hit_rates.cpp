@@ -22,6 +22,7 @@ int
 main(int argc, char **argv)
 {
     const BenchArgs args = BenchArgs::parse(argc, argv);
+    args.opts.rejectUnread();
     banner("Fig. 8: L1/L2 hit rates, hardware profiler vs simulator "
            "(%)",
            "MP kernels at sim dataset scales; hw = V100-geometry "

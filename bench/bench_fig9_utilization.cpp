@@ -20,6 +20,7 @@ int
 main(int argc, char **argv)
 {
     const BenchArgs args = BenchArgs::parse(argc, argv);
+    args.opts.rejectUnread();
     banner("Fig. 9: compute/memory utilization, gSuite-MP kernels "
            "(%)",
            "compute = ALU issue-slot occupancy; memory = DRAM "

@@ -35,16 +35,16 @@ using namespace gsuite::bench;
 int
 main(int argc, char **argv)
 {
-    OptionSet cli;
-    cli.parseArgs(argc, argv);
-    const std::string json_path =
-        cli.getString("json", "BENCH_gpu_compare.json");
-    const std::string dataset = cli.getString("dataset", "cora");
     // BenchArgs handles --list-gpus/--quick/--csv/--sweep-threads;
     // default to the full machine registry rather than one preset.
     BenchArgs args = BenchArgs::parse(argc, argv);
+    const OptionSet &cli = args.opts;
+    const std::string json_path =
+        cli.getString("json", "BENCH_gpu_compare.json");
+    const std::string dataset = cli.getString("dataset", "cora");
     if (!cli.has("gpu"))
         args.gpus = sweepableHwPresetNames();
+    cli.rejectUnread();
 
     std::string gpu_note;
     for (const std::string &g : args.gpus)

@@ -85,26 +85,25 @@ timeKernel(Kernel &kernel, int reps, double bytes_per_iter,
 int
 main(int argc, char **argv)
 {
-    OptionSet cli;
-    cli.parseArgs(argc, argv);
     const BenchArgs args = BenchArgs::parse(argc, argv);
+    const OptionSet &cli = args.opts;
     const std::string json_path = cli.getString("json", "");
     const int reps = static_cast<int>(
         cli.getInt("reps", args.quick ? 3 : 20));
+    cli.rejectUnread();
     if (reps < 1)
         fatal("--reps must be >= 1");
+    // Host-CPU wall-clock bench: points run serially and no GPU
+    // model or pipeline is involved, so these shared flags don't
+    // apply.
+    for (const char *flag : {"sweep-threads", "gpu", "trace", "layers"})
+        if (cli.has(flag))
+            fatal("--%s does not apply to the kernel microbenchmarks",
+                  flag);
 
     banner("kernel microbenchmarks",
            "functional kernels across input sizes, min of " +
                std::to_string(reps) + " reps");
-    // Host-CPU wall-clock bench: points must run serially and no
-    // GPU model is involved, so the shared sweep flags don't apply.
-    if (args.sweepThreads != 1)
-        std::printf("note: --sweep-threads ignored (serial timing "
-                    "bench)\n");
-    if (args.gpus != std::vector<std::string>{"v100-sim"})
-        std::printf("note: --gpu ignored (host-CPU functional "
-                    "kernels)\n");
 
     struct SizedCase {
         std::string label;

@@ -152,6 +152,7 @@ main(int argc, char **argv)
         opts.getString("json", "BENCH_sim_throughput.json");
     const int chunk = static_cast<int>(opts.getInt("chunk", 256));
     const bool quick = opts.getBool("quick", false);
+    opts.rejectUnread();
 
     const int64_t n = quick ? 1200 : 4000;
     const int64_t feat = quick ? 32 : 64;

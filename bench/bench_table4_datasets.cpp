@@ -17,6 +17,7 @@ int
 main(int argc, char **argv)
 {
     const BenchArgs args = BenchArgs::parse(argc, argv);
+    args.opts.rejectUnread();
     banner("Table IV: datasets included in the evaluation",
            "Synthetic generators matched to the paper's statistics.");
 

@@ -36,6 +36,8 @@ main(int argc, char **argv)
     cfg.lr = static_cast<float>(opts.getDouble("lr", 2.0));
     cfg.classes = static_cast<int>(opts.getInt("classes", 4));
     cfg.hidden = static_cast<int>(opts.getInt("hidden", 16));
+    const bool characterize = opts.getBool("sim", false);
+    opts.rejectUnread();
 
     GnnTrainer trainer(g, cfg);
     std::printf("per-epoch pipeline: %zu kernels "
@@ -57,7 +59,7 @@ main(int argc, char **argv)
                fmtDouble(history.back().kernelUs / 1e3, 2)});
     curve.print();
 
-    if (opts.getBool("sim", false)) {
+    if (characterize) {
         std::printf("\ncharacterizing one epoch on the simulator "
                     "...\n");
         SimEngine::Options sopts;

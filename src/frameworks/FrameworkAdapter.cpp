@@ -31,7 +31,13 @@ frameworkName(Framework fw)
 }
 
 FrameworkAdapter::FrameworkAdapter(Framework fw)
-    : fw(fw), ov(FrameworkOverheads::of(fw))
+    : FrameworkAdapter(fw, FrameworkOverheads::defaults(fw))
+{
+}
+
+FrameworkAdapter::FrameworkAdapter(Framework fw,
+                                   const FrameworkOverheads &ov)
+    : fw(fw), ov(ov)
 {
 }
 

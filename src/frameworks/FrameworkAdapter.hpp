@@ -48,7 +48,11 @@ struct FrameworkRunResult {
 class FrameworkAdapter
 {
   public:
+    /** @p fw with its calibrated default overheads. */
     explicit FrameworkAdapter(Framework fw);
+
+    /** @p fw with the overheads a point resolved for it. */
+    FrameworkAdapter(Framework fw, const FrameworkOverheads &ov);
 
     /**
      * The computational model this framework would use for @p kind,

@@ -1,32 +1,6 @@
 #include "frameworks/Overheads.hpp"
 
-#include <array>
-#include <cstddef>
-
 namespace gsuite {
-
-namespace {
-
-/** Index into the override table; frameworks are a closed set. */
-constexpr size_t
-slot(Framework fw)
-{
-    return static_cast<size_t>(fw);
-}
-
-struct OverrideSlot {
-    bool active = false;
-    FrameworkOverheads values;
-};
-
-std::array<OverrideSlot, 3> &
-overrides()
-{
-    static std::array<OverrideSlot, 3> table;
-    return table;
-}
-
-} // namespace
 
 FrameworkOverheads
 FrameworkOverheads::defaults(Framework fw)
@@ -40,26 +14,6 @@ FrameworkOverheads::defaults(Framework fw)
       default:
         return {0.03e6, 8.0, 1.00};
     }
-}
-
-FrameworkOverheads
-FrameworkOverheads::of(Framework fw)
-{
-    const OverrideSlot &slot_ref = overrides()[slot(fw)];
-    return slot_ref.active ? slot_ref.values : defaults(fw);
-}
-
-void
-setFrameworkOverheads(Framework fw, const FrameworkOverheads &v)
-{
-    overrides()[slot(fw)] = {true, v};
-}
-
-void
-resetFrameworkOverheads()
-{
-    for (OverrideSlot &s : overrides())
-        s = {};
 }
 
 } // namespace gsuite

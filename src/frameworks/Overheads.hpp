@@ -22,11 +22,12 @@
  * (PyG slowest, gSuite fastest, distribution of kernel time similar
  * across frameworks) — never absolute numbers.
  *
- * The built-in constants can be overridden at runtime through the
- * hwdb config-file layer (`overhead.<framework>.<key>` keys, see
- * src/hwdb/README.md) so recalibration does not require a rebuild.
- * Overrides are process-global and must be installed before runs
- * start (the CLI applies them while parsing `--gpu file:PATH`).
+ * A hwdb config file can override the built-in constants
+ * (`overhead.<framework>.<key>` keys, see src/hwdb/README.md), so
+ * recalibration does not require a rebuild. The overrides are part
+ * of that machine's description: each sweep point resolves its own
+ * constants from its gpu spec (resolveFrameworkOverheads in
+ * hwdb/HwPresets.hpp) and hands them to its FrameworkAdapter.
  */
 
 #ifndef GSUITE_FRAMEWORKS_OVERHEADS_HPP
@@ -49,25 +50,9 @@ struct FrameworkOverheads {
 
     bool operator==(const FrameworkOverheads &) const = default;
 
-    /**
-     * The effective per-framework constants: the calibrated
-     * defaults, unless overridden via setFrameworkOverheads().
-     */
-    static FrameworkOverheads of(Framework fw);
-
-    /** The compile-time calibrated constants, override-proof. */
+    /** The compile-time calibrated constants. */
     static FrameworkOverheads defaults(Framework fw);
 };
-
-/**
- * Install a process-global override for one framework's overheads
- * (the hwdb `overhead.<framework>.<key>` path). Not synchronized:
- * call before any engines run, never concurrently with them.
- */
-void setFrameworkOverheads(Framework fw, const FrameworkOverheads &v);
-
-/** Drop all overrides, restoring the calibrated defaults. */
-void resetFrameworkOverheads();
 
 } // namespace gsuite
 

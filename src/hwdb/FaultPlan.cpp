@@ -86,9 +86,9 @@ serializeEventValue(const FaultEvent &ev)
     std::string out = std::string(faultKindName(ev.kind)) + "@" +
                       std::to_string(ev.cycle);
     if (ev.durationCycles > 0 || ev.magnitude != 0.0)
-        out += "@" + std::to_string(ev.durationCycles);
+        out.append("@").append(std::to_string(ev.durationCycles));
     if (ev.magnitude != 0.0)
-        out += "@" + fmtTrimmedDouble(ev.magnitude);
+        out.append("@").append(fmtTrimmedDouble(ev.magnitude));
     return out;
 }
 

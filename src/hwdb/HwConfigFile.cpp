@@ -487,9 +487,8 @@ applyOverheadKey(HwConfig &hw, const std::string &key,
     const Framework fw = frameworkFromName(parts[1]);
     auto it = hw.overheads.find(fw);
     if (it == hw.overheads.end())
-        // Seed from the calibrated defaults, never the effective
-        // values — parsing must not depend on overrides some other
-        // file installed earlier in the process.
+        // Seed from the calibrated defaults so a file may override
+        // a single constant.
         it = hw.overheads
                  .emplace(fw, FrameworkOverheads::defaults(fw))
                  .first;
@@ -524,13 +523,6 @@ checkDerivedSets(const char *key, const CacheGeometry &geom,
 }
 
 } // namespace
-
-void
-HwConfig::applyOverheads() const
-{
-    for (const auto &[fw, values] : overheads)
-        setFrameworkOverheads(fw, values);
-}
 
 HwConfig
 parseHwConfigText(const std::string &text, const std::string &origin)

@@ -44,16 +44,10 @@ struct HwConfig {
     /**
      * Framework overhead overrides, only for frameworks the file
      * mentions; each starts from the calibrated defaults so a file
-     * may override a single constant (and parse results never
-     * depend on overrides installed earlier in the process).
+     * may override a single constant. They apply to the points that
+     * run on this machine (resolveFrameworkOverheads).
      */
     std::map<Framework, FrameworkOverheads> overheads;
-
-    /**
-     * Install the overhead overrides process-globally (see
-     * setFrameworkOverheads for the threading contract).
-     */
-    void applyOverheads() const;
 };
 
 /**

@@ -33,6 +33,16 @@ cachedHwConfigFile(const std::string &path)
     return it->second;
 }
 
+/** fatal() unless @p spec names a single machine. */
+void
+rejectSpecList(const std::string &spec)
+{
+    if (spec.find(',') != std::string::npos)
+        fatal("gpu spec '%s' is a list; sweep specs expand lists "
+              "before resolution",
+              spec.c_str());
+}
+
 /**
  * RTX 2060 SUPER (Turing TU106) — the paper's hardware platform.
  * 34 SMs total (17 simulated x sample factor 2; 34 = 2 x 17 has no
@@ -318,20 +328,29 @@ fileGpuSpecPath(const std::string &spec)
 GpuConfig
 resolveGpuSpec(const std::string &spec)
 {
-    if (spec.find(',') != std::string::npos)
-        fatal("gpu spec '%s' is a list; sweep specs expand lists "
-              "before resolution",
-              spec.c_str());
+    rejectSpecList(spec);
     if (isFileGpuSpec(spec))
         return cachedHwConfigFile(fileGpuSpecPath(spec)).gpu;
     return hwPresetByName(spec).config;
+}
+
+FrameworkOverheads
+resolveFrameworkOverheads(const std::string &spec, Framework fw)
+{
+    rejectSpecList(spec);
+    if (isFileGpuSpec(spec)) {
+        const HwConfig &hw = cachedHwConfigFile(fileGpuSpecPath(spec));
+        const auto it = hw.overheads.find(fw);
+        if (it != hw.overheads.end())
+            return it->second;
+    }
+    return FrameworkOverheads::defaults(fw);
 }
 
 std::vector<std::string>
 expandGpuSpecs(const std::string &specList)
 {
     std::vector<std::string> specs;
-    std::vector<std::pair<std::string, HwConfig>> files;
     auto push_unique = [&specs](const std::string &s) {
         for (const std::string &seen : specs)
             if (seen == s)
@@ -346,8 +365,7 @@ expandGpuSpecs(const std::string &specList)
         if (isFileGpuSpec(p)) {
             if (fileGpuSpecPath(p).empty())
                 fatal("--gpu file: needs a path");
-            files.emplace_back(
-                p, cachedHwConfigFile(fileGpuSpecPath(p)));
+            cachedHwConfigFile(fileGpuSpecPath(p));
             push_unique(p);
         } else if (toLower(p) == "all") {
             for (const std::string &name : sweepableHwPresetNames())
@@ -355,21 +373,6 @@ expandGpuSpecs(const std::string &specList)
         } else {
             push_unique(hwPresetByName(p).name);
         }
-    }
-    // Overhead overrides are process-global, so they only make
-    // sense when the whole run is on one machine — applying one
-    // file's constants to another machine's points would silently
-    // cross-contaminate a sweep.
-    for (const auto &[spec, hw] : files) {
-        if (hw.overheads.empty())
-            continue;
-        if (specs.size() == 1)
-            hw.applyOverheads();
-        else
-            warn("ignoring overhead.* keys of '%s': framework "
-                 "overheads are process-global and this --gpu "
-                 "sweep spans %zu machines",
-                 spec.c_str(), specs.size());
     }
     return specs;
 }

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "frameworks/Overheads.hpp"
 #include "simgpu/GpuConfig.hpp"
 
 namespace gsuite {
@@ -63,12 +64,20 @@ std::string fileGpuSpecPath(const std::string &spec);
 GpuConfig resolveGpuSpec(const std::string &spec);
 
 /**
+ * The framework overheads a point on the single gpu spec @p spec
+ * runs with: the spec file's overhead.<fw>.* entry when it has one,
+ * else FrameworkOverheads::defaults(fw). fatal() like
+ * resolveGpuSpec.
+ */
+FrameworkOverheads resolveFrameworkOverheads(const std::string &spec,
+                                             Framework fw);
+
+/**
  * Normalize a CLI --gpu value into the ordered, deduplicated spec
  * list a sweep runs over: splits on commas, expands "all" to the
  * sweepable presets, canonicalizes and validates preset names, and
- * — CLI parse being the install point for process-global state —
- * applies the overhead.* overrides of every file spec. fatal() on
- * an unknown preset, an empty component, or an invalid file.
+ * parses (and caches) every file spec. fatal() on an unknown
+ * preset, an empty component, or an invalid file.
  */
 std::vector<std::string> expandGpuSpecs(const std::string &specList);
 

@@ -195,7 +195,7 @@ OpGraph::merge(const std::vector<const OpGraph *> &graphs,
         panicIf(!graphs[g]->partList.empty(),
                 "OpGraph::merge: inputs must be un-merged graphs");
         merged.beginPart(labels.empty()
-                             ? "g" + std::to_string(g)
+                             ? std::string("g").append(std::to_string(g))
                              : labels[g]);
         // Re-adding through addNode re-derives identical
         // dependencies (Kernel::io() is stable) and re-interns

@@ -31,7 +31,7 @@ HwProfiler::HwProfiler(HwProfilerConfig cfg) : cfg(cfg)
 HwProfileResult
 HwProfiler::profile(const KernelLaunch &launch)
 {
-    panicIf(!launch.hasTraceGen(), "profiling a launch without traces");
+    panicIf(!launch.streamTrace, "profiling a launch without traces");
 
     const int64_t expected =
         (launch.dims.numCtas +

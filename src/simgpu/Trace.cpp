@@ -4,11 +4,6 @@
 
 namespace gsuite {
 
-TraceBuilder::TraceBuilder(WarpTrace &trace)
-    : trace(trace), budget(~size_t{0}), cursor(&ownCursor)
-{
-}
-
 TraceBuilder::TraceBuilder(WarpTrace &trace, size_t instr_budget,
                            uint8_t &reg_cursor)
     : trace(trace), budget(instr_budget), cursor(&reg_cursor)

@@ -13,6 +13,7 @@
 
 #include "frameworks/FrameworkAdapter.hpp"
 #include "hwdb/HwConfigFile.hpp"
+#include "hwdb/HwPresets.hpp"
 #include "obs/TraceSink.hpp"
 #include "util/Logging.hpp"
 #include "util/ThreadPool.hpp"
@@ -259,7 +260,11 @@ BenchSession::runPoint(const UserParams &params, const Graph &graph)
     outcome.scaleDescription = params.resolveScale().describe();
     outcome.graphSummary = graph.summary();
 
-    const FrameworkAdapter adapter(params.framework);
+    // The point's own machine description carries its framework
+    // overheads, so a multi-machine sweep honours each file.
+    const FrameworkAdapter adapter(
+        params.framework,
+        resolveFrameworkOverheads(params.gpu, params.framework));
     std::unique_ptr<ExecutionEngine> engine;
     std::unique_ptr<TraceSink> sink;
     std::string tracePath = params.tracePath;

@@ -253,7 +253,8 @@ SweepSpec::expand() const
                                               ? std::string("off")
                                               : sm);
                             if (batches.size() > 1)
-                                label += "x" + std::to_string(b);
+                                label.append("x").append(
+                                    std::to_string(b));
                             pt.label = std::move(label);
                             pt.params = std::move(p);
                             points.push_back(std::move(pt));

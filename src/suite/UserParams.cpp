@@ -1,8 +1,6 @@
 #include "suite/UserParams.hpp"
 
 #include <cstdio>
-#include <set>
-
 #include <cstdlib>
 
 #include "frameworks/FrameworkAdapter.hpp"
@@ -89,22 +87,6 @@ applyCtaSampleSpec(GpuConfig &cfg, const std::string &spec)
 UserParams
 UserParams::fromOptions(const OptionSet &opts)
 {
-    static const std::set<std::string> known = {
-        "config",     "dataset",   "model",       "comp",
-        "framework",  "engine",    "layers",      "hidden",
-        "outdim",     "gineps",    "runs",        "seed",
-        "batch",      "mem-plan",
-        "profile-caches", "node-div", "edge-div", "feature-cap",
-        "csv",        "verbose",   "quiet",       "trace",
-        "sim-threads", "sim-parallel", "sweep-threads",
-        "max-ctas",   "cycle-ceiling", "scheduler", "l1-bypass",
-        "gpu",        "list-gpus",  "sample",
-    };
-    for (const auto &key : opts.keys()) {
-        if (known.find(key) == known.end())
-            fatal("unknown option '--%s'", key.c_str());
-    }
-
     if (opts.getBool("list-gpus", false))
         listHwPresetsAndExit();
 
@@ -180,9 +162,9 @@ UserParams::fromOptions(const OptionSet &opts)
             applyCtaSampleSpec(scratch, part);
         }
     }
-    // Normalize --gpu: validate + canonicalize each component,
-    // expand "all", install file-spec overhead overrides. A multi-
-    // spec result stays comma-joined for SweepSpec to expand.
+    // Normalize --gpu: validate + canonicalize each component and
+    // expand "all". A multi-spec result stays comma-joined for
+    // SweepSpec to expand.
     p.gpu = join(expandGpuSpecs(opts.getString("gpu", p.gpu)), ',');
     p.nodeDivisor = opts.getInt("node-div", -1);
     p.edgeDivisor = opts.getInt("edge-div", -1);
@@ -194,6 +176,7 @@ UserParams::fromOptions(const OptionSet &opts)
         setLogLevel(LogLevel::Verbose);
     if (opts.getBool("quiet", false))
         setLogLevel(LogLevel::Quiet);
+    opts.rejectUnread();
 
     if (p.layers < 1)
         fatal("--layers must be >= 1");
@@ -221,9 +204,9 @@ UserParams::fromArgs(int argc, const char *const *argv)
     OptionSet merged;
     if (cli.has("config"))
         merged.loadFile(cli.getString("config"));
-    merged.parseArgs(argc, argv);
-    if (cli.has("config"))
-        merged.set("config", cli.getString("config"));
+    for (const std::string &key : cli.keys())
+        if (key != "config")
+            merged.set(key, cli.getString(key));
     return fromOptions(merged);
 }
 

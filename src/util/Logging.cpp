@@ -93,7 +93,7 @@ logPrefix()
 ScopedLogPrefix::ScopedLogPrefix(std::string label)
     : saved(prefixRef())
 {
-    prefixRef() = "[" + std::move(label) + "] ";
+    prefixRef() = "[" + label + "] ";
 }
 
 ScopedLogPrefix::~ScopedLogPrefix()

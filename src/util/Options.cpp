@@ -16,16 +16,23 @@ OptionSet::set(const std::string &key, const std::string &value)
     values[key] = value;
 }
 
+std::map<std::string, std::string>::const_iterator
+OptionSet::find(const std::string &key) const
+{
+    read.insert(key);
+    return values.find(key);
+}
+
 bool
 OptionSet::has(const std::string &key) const
 {
-    return values.find(key) != values.end();
+    return find(key) != values.end();
 }
 
 std::string
 OptionSet::getString(const std::string &key) const
 {
-    auto it = values.find(key);
+    auto it = find(key);
     if (it == values.end())
         fatal("missing required option '%s'", key.c_str());
     return it->second;
@@ -34,7 +41,7 @@ OptionSet::getString(const std::string &key) const
 std::string
 OptionSet::getString(const std::string &key, const std::string &def) const
 {
-    auto it = values.find(key);
+    auto it = find(key);
     return it == values.end() ? def : it->second;
 }
 
@@ -87,6 +94,14 @@ std::vector<std::string>
 OptionSet::keys() const
 {
     return order;
+}
+
+void
+OptionSet::rejectUnread() const
+{
+    for (const std::string &key : order)
+        if (read.find(key) == read.end())
+            fatal("unknown option '--%s'", key.c_str());
 }
 
 void

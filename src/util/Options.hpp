@@ -12,6 +12,7 @@
 #define GSUITE_UTIL_OPTIONS_HPP
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,9 @@ namespace gsuite {
  * and then applying command-line arguments gives CLI overrides, exactly
  * as the paper's interface describes ("default parameters take action
  * when a parameter value is not specified by the user").
+ *
+ * Accessors record which keys were read (see rejectUnread()), so
+ * even const use is not safe from several threads at once.
  */
 class OptionSet
 {
@@ -70,9 +74,21 @@ class OptionSet
      */
     std::vector<std::string> parseArgs(int argc, const char *const *argv);
 
+    /**
+     * fatal() with "unknown option '--KEY'" for the first key no
+     * accessor (has() included) has looked up. Call after the last
+     * read, so a mistyped or retired flag cannot pass silently.
+     */
+    void rejectUnread() const;
+
   private:
     std::map<std::string, std::string> values;
     std::vector<std::string> order;
+    mutable std::set<std::string> read; ///< keys looked up so far
+
+    /** Look up @p key, recording the read. */
+    std::map<std::string, std::string>::const_iterator
+    find(const std::string &key) const;
 };
 
 } // namespace gsuite

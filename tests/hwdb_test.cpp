@@ -16,20 +16,17 @@
 #include <sstream>
 #include <string>
 
+#include "bench/BenchCommon.hpp"
 #include "frameworks/Overheads.hpp"
 #include "hwdb/HwConfigFile.hpp"
 #include "hwdb/HwPresets.hpp"
 #include "suite/BenchSession.hpp"
 #include "suite/SweepSpec.hpp"
+#include "util/StringUtils.hpp"
 
 using namespace gsuite;
 
 namespace {
-
-/** Reset global overhead overrides around tests that install them. */
-struct OverheadGuard {
-    ~OverheadGuard() { resetFrameworkOverheads(); }
-};
 
 UserParams
 tinySimBase(const std::string &gpu)
@@ -346,30 +343,32 @@ TEST(HwConfigFile, BaseMustComeFirst)
 
 TEST(HwConfigFile, OverheadKeysOverrideFrameworkConstants)
 {
-    OverheadGuard guard;
-    const HwConfig hw = parseHwConfigText(
-        "base test-tiny\n"
-        "overhead.pyg.init_us 9e6\n"
-        "overhead.dgl.kernel_factor 2.5\n",
-        "<test>");
-    ASSERT_EQ(hw.overheads.size(), 2u);
-    hw.applyOverheads();
+    const std::string path = "/tmp/gsuite_hwdb_ovh_keys.cfg";
+    {
+        std::ofstream f(path);
+        f << "base test-tiny\n"
+             "overhead.pyg.init_us 9e6\n"
+             "overhead.dgl.kernel_factor 2.5\n";
+    }
+    const std::string spec = "file:" + path;
 
     // Overridden fields take the file's values; untouched fields
-    // keep the calibrated defaults.
-    EXPECT_DOUBLE_EQ(FrameworkOverheads::of(Framework::Pyg).initUs,
-                     9e6);
+    // and frameworks keep the calibrated defaults.
+    const FrameworkOverheads pyg =
+        resolveFrameworkOverheads(spec, Framework::Pyg);
+    EXPECT_DOUBLE_EQ(pyg.initUs, 9e6);
     EXPECT_DOUBLE_EQ(
-        FrameworkOverheads::of(Framework::Pyg).perKernelUs,
+        pyg.perKernelUs,
         FrameworkOverheads::defaults(Framework::Pyg).perKernelUs);
     EXPECT_DOUBLE_EQ(
-        FrameworkOverheads::of(Framework::Dgl).kernelFactor, 2.5);
-    EXPECT_TRUE(FrameworkOverheads::of(Framework::Gsuite) ==
+        resolveFrameworkOverheads(spec, Framework::Dgl).kernelFactor,
+        2.5);
+    EXPECT_TRUE(resolveFrameworkOverheads(spec, Framework::Gsuite) ==
                 FrameworkOverheads::defaults(Framework::Gsuite));
-
-    resetFrameworkOverheads();
-    EXPECT_TRUE(FrameworkOverheads::of(Framework::Pyg) ==
+    // Presets carry no overrides.
+    EXPECT_TRUE(resolveFrameworkOverheads("v100-sim", Framework::Pyg) ==
                 FrameworkOverheads::defaults(Framework::Pyg));
+    std::remove(path.c_str());
 }
 
 TEST(HwConfigFile, RejectsUnknownOverheadField)
@@ -378,26 +377,6 @@ TEST(HwConfigFile, RejectsUnknownOverheadField)
                     "base test-tiny\noverhead.pyg.magic 1\n",
                     "<test>"),
                 ::testing::ExitedWithCode(1), "");
-}
-
-TEST(HwPresets, OverheadOverridesOnlyApplyOnSingleMachineRuns)
-{
-    OverheadGuard guard;
-    const std::string path = "/tmp/gsuite_hwdb_ovh.cfg";
-    {
-        std::ofstream f(path);
-        f << "base test-tiny\noverhead.pyg.init_us 5e6\n";
-    }
-    // Multi-machine sweep: process-global overheads must not leak
-    // across machines, so the file's keys are ignored (warned).
-    expandGpuSpecs("v100-sim,file:" + path);
-    EXPECT_TRUE(FrameworkOverheads::of(Framework::Pyg) ==
-                FrameworkOverheads::defaults(Framework::Pyg));
-    // Single-machine run: they apply.
-    expandGpuSpecs("file:" + path);
-    EXPECT_DOUBLE_EQ(FrameworkOverheads::of(Framework::Pyg).initUs,
-                     5e6);
-    std::remove(path.c_str());
 }
 
 TEST(HwPresets, FileSpecResolvesThroughHwdb)
@@ -555,6 +534,111 @@ TEST(BenchSession, CrossGpuSweepIsThreadCountInvariant)
     EXPECT_GE(distinct.size(), 3u);
 }
 
+TEST(BenchSession, MultiFileSweepGivesEachPointItsOwnOverheads)
+{
+    // Two machine files with different pyg init_us plus a preset, in
+    // one --gpu sweep: every point runs with its own machine's
+    // framework constants.
+    const std::string pathA = "/tmp/gsuite_hwdb_ovh_a.cfg";
+    const std::string pathB = "/tmp/gsuite_hwdb_ovh_b.cfg";
+    {
+        std::ofstream f(pathA);
+        f << "base test-tiny\noverhead.pyg.init_us 5e6\n";
+    }
+    {
+        std::ofstream f(pathB);
+        f << "base test-tiny\noverhead.pyg.init_us 7e6\n";
+    }
+    const std::string specs =
+        join(expandGpuSpecs("file:" + pathA + ",file:" + pathB +
+                            ",v100-sim"),
+             ',');
+    UserParams base = tinySimBase(specs);
+    base.engine = EngineKind::Functional;
+    base.framework = Framework::Pyg;
+    const ResultStore store =
+        BenchSession().run(SweepSpec{}.base(base).models(
+            {GnnModelKind::Gcn}));
+    std::remove(pathA.c_str());
+    std::remove(pathB.c_str());
+
+    const FrameworkOverheads defaults =
+        FrameworkOverheads::defaults(Framework::Pyg);
+    const double expectedInit[] = {5e6, 7e6, defaults.initUs};
+    ASSERT_EQ(store.size(), 3u);
+    for (size_t i = 0; i < store.size(); ++i) {
+        const SweepResult &r = store.at(i);
+        ASSERT_TRUE(r.ok) << r.error;
+        SCOPED_TRACE(r.point.label);
+        // endToEndUs = init + kernels x per-kernel + inflated kernel
+        // time; everything but init is the defaults' share.
+        const double e2e = r.outcome.endToEndSamplesUs.at(0);
+        const double rest =
+            static_cast<double>(r.outcome.timeline.size()) *
+                defaults.perKernelUs +
+            r.outcome.kernelSamplesUs.at(0) * defaults.kernelFactor;
+        EXPECT_NEAR(e2e - rest, expectedInit[i], 1e-3);
+    }
+}
+
+namespace {
+
+/** BenchArgs::parse over a literal command line. */
+bench::BenchArgs
+parseBenchArgs(std::vector<std::string> args)
+{
+    args.insert(args.begin(), "bench");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    return bench::BenchArgs::parse(static_cast<int>(argv.size()),
+                                   argv.data());
+}
+
+} // namespace
+
+TEST(BenchArgs, FunctionalBaseCarriesTheGpuFilesOverheads)
+{
+    // Functional benches (fig3, fig4, table4) take their framework
+    // constants from the one --gpu machine file.
+    const std::string path = "/tmp/gsuite_hwdb_ovh_func.cfg";
+    {
+        std::ofstream f(path);
+        f << "base test-tiny\noverhead.pyg.init_us 5e6\n";
+    }
+    UserParams base =
+        parseBenchArgs({"--quick", "--gpu", "file:" + path})
+            .functionalBase();
+    EXPECT_EQ(base.gpu, "file:" + path);
+    base.framework = Framework::Pyg;
+    base.featureCap = 8;
+    base.nodeDivisor = 8;
+    base.edgeDivisor = 8;
+    const ResultStore store = BenchSession().run(
+        SweepSpec{}.base(base).models({GnnModelKind::Gcn}));
+    std::remove(path.c_str());
+
+    const FrameworkOverheads defaults =
+        FrameworkOverheads::defaults(Framework::Pyg);
+    ASSERT_EQ(store.size(), 1u);
+    const SweepResult &r = store.at(0);
+    ASSERT_TRUE(r.ok) << r.error;
+    const double rest =
+        static_cast<double>(r.outcome.timeline.size()) *
+            defaults.perKernelUs +
+        r.outcome.kernelSamplesUs.at(0) * defaults.kernelFactor;
+    EXPECT_NEAR(r.outcome.endToEndSamplesUs.at(0) - rest, 5e6, 1e-3);
+}
+
+TEST(BenchArgsDeathTest, FunctionalBaseRejectsFlagsItCannotHonour)
+{
+    EXPECT_DEATH(parseBenchArgs({"--gpu", "v100-sim,a100"})
+                     .functionalBase(),
+                 "one --gpu machine");
+    EXPECT_DEATH(parseBenchArgs({"--trace", "t.json"}).functionalBase(),
+                 "needs the sim engine");
+}
+
 TEST(ResultStore, JsonCarriesGpuNameAndConfigProvenance)
 {
     const SweepSpec spec =
@@ -702,7 +786,7 @@ TEST(BenchSession, GraphCacheEvictsBeyondCapacity)
     opts.graphCacheEntries = 1;
     std::vector<SweepVariant> vars;
     for (uint64_t s = 1; s <= 3; ++s)
-        vars.push_back({"s" + std::to_string(s),
+        vars.push_back({std::string("s").append(std::to_string(s)),
                         [s](UserParams &p) { p.seed = s; }});
     const BenchSession session(opts);
     session.run(SweepSpec{}.base(base).variants(vars));

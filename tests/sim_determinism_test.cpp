@@ -2,8 +2,8 @@
  * @file
  * Determinism regression tests for the simulation engine: KernelStats
  * must be bit-identical across reruns and simulator reuse, trace-chunk
- * size, eager-vs-streaming trace representation, concurrent launch
- * lanes, and the fast vs reference issue paths. These invariants are
+ * size, concurrent launch lanes, and the fast vs reference issue
+ * paths. These invariants are
  * what lets the engine use however many cores the host offers without
  * changing any figure.
  */
@@ -129,27 +129,65 @@ mixedSyntheticLaunch()
     l.kind = KernelClass::Aux;
     l.dims.numCtas = 24;
     l.dims.threadsPerCta = 128;
-    l.genTrace = [](int64_t cta, int warp, WarpTrace &out) {
-        TraceBuilder b(out);
-        b.aluChain(Op::INT, 3 + warp);
-        std::array<uint64_t, 32> a{};
-        for (int i = 0; i < 32; ++i)
-            a[static_cast<size_t>(i)] =
-                0x10000ull +
-                static_cast<uint64_t>((cta * 7 + warp * 5 + i) % 97) *
-                    256ull;
-        const Reg r = b.load({a.data(), 32});
-        b.alu(Op::FP32, r);
-        b.barrier();
-        b.sharedStore(b.sharedLoad());
-        for (int i = 0; i < 32; ++i)
-            a[static_cast<size_t>(i)] =
-                0x40000ull + static_cast<uint64_t>(cta % 5) * 4;
-        const Reg v = b.alu(Op::FP32);
-        b.atomic({a.data(), 32}, v);
-        b.aluChain(Op::FP32, 4);
-        b.store({a.data(), 8}, v);
-        b.exit();
+    l.streamTrace = [](int64_t cta, int warp) -> WarpTraceStream {
+        return [cta, warp](TraceBuilder &b) {
+            b.aluChain(Op::INT, 3 + warp);
+            std::array<uint64_t, 32> a{};
+            for (int i = 0; i < 32; ++i)
+                a[static_cast<size_t>(i)] =
+                    0x10000ull +
+                    static_cast<uint64_t>((cta * 7 + warp * 5 + i) % 97) *
+                        256ull;
+            const Reg r = b.load({a.data(), 32});
+            b.alu(Op::FP32, r);
+            b.barrier();
+            b.sharedStore(b.sharedLoad());
+            for (int i = 0; i < 32; ++i)
+                a[static_cast<size_t>(i)] =
+                    0x40000ull + static_cast<uint64_t>(cta % 5) * 4;
+            const Reg v = b.alu(Op::FP32);
+            b.atomic({a.data(), 32}, v);
+            b.aluChain(Op::FP32, 4);
+            b.store({a.data(), 8}, v);
+            b.exit();
+            return true;
+        };
+    };
+    return l;
+}
+
+/**
+ * A synthetic stream of 200 load/ALU/control groups per warp that
+ * suspends whenever its chunk fills.
+ */
+KernelLaunch
+suspendingStreamLaunch()
+{
+    constexpr int64_t iters = 200;
+    KernelLaunch l;
+    l.name = "streamed";
+    l.dims.numCtas = 4;
+    l.dims.threadsPerCta = 64;
+    l.streamTrace = [](int64_t, int) -> WarpTraceStream {
+        int64_t i = 0;
+        return [i](TraceBuilder &b) mutable {
+            while (i < iters && !b.full()) {
+                std::array<uint64_t, 8> a{};
+                for (int lane = 0; lane < 8; ++lane)
+                    a[static_cast<size_t>(lane)] =
+                        0x20000ull +
+                        static_cast<uint64_t>((i * 8 + lane) % 513) *
+                            32ull;
+                const Reg r = b.load({a.data(), 8});
+                b.alu(Op::FP32, r);
+                b.control();
+                ++i;
+            }
+            if (i < iters)
+                return false;
+            b.exit();
+            return true;
+        };
     };
     return l;
 }
@@ -201,16 +239,17 @@ TEST(SimDeterminism, ChunkSizeInvariant)
 {
     SpmmWorkload w;
     DeviceAllocator alloc;
-    const KernelLaunch launch = w.kernel.makeLaunch(alloc);
+    const KernelLaunch spmm = w.kernel.makeLaunch(alloc);
 
     SimOptions opts;
     opts.maxCtas = 64;
-    std::vector<KernelStats> results;
-    for (const int chunk : {32, 128, 1 << 20}) {
-        GpuSimulator sim(detConfig());
+    auto run_at = [&opts](const KernelLaunch &l, int chunk) {
         opts.traceChunkInstrs = chunk;
-        results.push_back(sim.run(launch, opts));
-    }
+        return GpuSimulator(detConfig()).run(l, opts);
+    };
+    std::vector<KernelStats> results;
+    for (const int chunk : {32, 128, 1 << 20})
+        results.push_back(run_at(spmm, chunk));
     // Timing and counters are chunk-invariant; only the resident
     // trace footprint may differ.
     for (size_t i = 1; i < results.size(); ++i)
@@ -218,6 +257,14 @@ TEST(SimDeterminism, ChunkSizeInvariant)
                          /*compare_trace_peak=*/false);
     // Smaller chunks must bound trace memory at least as tightly.
     EXPECT_LE(results[0].traceBytesPeak, results[2].traceBytesPeak);
+
+    // Every warp of the suspending stream outgrows a 64-instruction
+    // chunk, so the small chunk must strictly cap trace memory.
+    const KernelLaunch suspending = suspendingStreamLaunch();
+    const KernelStats small = run_at(suspending, 64);
+    const KernelStats whole = run_at(suspending, 1 << 20);
+    expectStatsEqual(small, whole, /*compare_trace_peak=*/false);
+    EXPECT_LT(small.traceBytesPeak, whole.traceBytesPeak);
 }
 
 TEST(SimDeterminism, ParallelLaunchEngineMatchesSerialEngine)
@@ -405,55 +452,3 @@ TEST(SimDeterminism, FastIssuePathMatchesReferenceOnAllSixKernels)
     }
 }
 
-TEST(SimDeterminism, EagerAndStreamedTracesMatch)
-{
-    // The same logical trace, expressed eagerly and as a resumable
-    // stream, must simulate identically.
-    const int64_t iters = 200;
-    auto body = [](TraceBuilder &b, int64_t i) {
-        std::array<uint64_t, 8> a{};
-        for (int l = 0; l < 8; ++l)
-            a[static_cast<size_t>(l)] =
-                0x20000ull +
-                static_cast<uint64_t>((i * 8 + l) % 513) * 32ull;
-        const Reg r = b.load({a.data(), 8});
-        b.alu(Op::FP32, r);
-        b.control();
-    };
-
-    KernelLaunch eager;
-    eager.name = "eager";
-    eager.dims.numCtas = 4;
-    eager.dims.threadsPerCta = 64;
-    eager.genTrace = [body](int64_t, int, WarpTrace &out) {
-        TraceBuilder b(out);
-        for (int64_t i = 0; i < iters; ++i)
-            body(b, i);
-        b.exit();
-    };
-
-    KernelLaunch streamed = eager;
-    streamed.name = "streamed";
-    streamed.genTrace = nullptr;
-    streamed.streamTrace = [body](int64_t, int) -> WarpTraceStream {
-        int64_t i = 0;
-        return [body, i](TraceBuilder &b) mutable {
-            while (i < iters && !b.full())
-                body(b, i++);
-            if (i < iters)
-                return false;
-            b.exit();
-            return true;
-        };
-    };
-
-    SimOptions opts;
-    opts.traceChunkInstrs = 64;
-    GpuSimulator sim_e(detConfig());
-    GpuSimulator sim_s(detConfig());
-    const KernelStats st_e = sim_e.run(eager, opts);
-    const KernelStats st_s = sim_s.run(streamed, opts);
-    expectStatsEqual(st_e, st_s, /*compare_trace_peak=*/false);
-    // The streamed form must actually cap resident trace memory.
-    EXPECT_LT(st_s.traceBytesPeak, st_e.traceBytesPeak);
-}

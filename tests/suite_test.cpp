@@ -61,9 +61,9 @@ TEST(FrameworkTest, CompModelResolution)
 
 TEST(FrameworkTest, OverheadOrdering)
 {
-    const auto pyg = FrameworkOverheads::of(Framework::Pyg);
-    const auto dgl = FrameworkOverheads::of(Framework::Dgl);
-    const auto gs = FrameworkOverheads::of(Framework::Gsuite);
+    const auto pyg = FrameworkOverheads::defaults(Framework::Pyg);
+    const auto dgl = FrameworkOverheads::defaults(Framework::Dgl);
+    const auto gs = FrameworkOverheads::defaults(Framework::Gsuite);
     EXPECT_GT(pyg.initUs, dgl.initUs);
     EXPECT_GT(dgl.initUs, gs.initUs);
     EXPECT_GT(pyg.perKernelUs, dgl.perKernelUs);
@@ -79,7 +79,7 @@ TEST(FrameworkTest, EndToEndTimeIncludesOverheads)
     const FrameworkAdapter pyg(Framework::Pyg);
     const auto res = pyg.run(g, cfg, engine);
     EXPECT_GT(res.endToEndUs,
-              FrameworkOverheads::of(Framework::Pyg).initUs);
+              FrameworkOverheads::defaults(Framework::Pyg).initUs);
     EXPECT_GT(res.endToEndUs, res.kernelUs);
     EXPECT_FALSE(res.timeline.empty());
 }

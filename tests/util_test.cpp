@@ -207,6 +207,21 @@ TEST(Options, LaterValuesOverride)
     EXPECT_EQ(o.keys().size(), 1u);
 }
 
+TEST(Options, RejectUnreadNamesTheUnknownFlag)
+{
+    const char *argv[] = {"bench", "--quick", "--threads", "4",
+                          "--gpu", "a100"};
+    OptionSet o;
+    o.parseArgs(6, argv);
+    EXPECT_TRUE(o.getBool("quick", false));
+    // has() counts as a read, like a typed getter.
+    EXPECT_TRUE(o.has("gpu"));
+    EXPECT_EXIT(o.rejectUnread(), ::testing::ExitedWithCode(1),
+                "unknown option '--threads'");
+    EXPECT_EQ(o.getInt("threads", 0), 4);
+    o.rejectUnread(); // every flag read: no exit
+}
+
 TEST(Options, ConfigFileRoundTrip)
 {
     const std::string path = "/tmp/gsuite_test_opts.conf";
